@@ -159,7 +159,7 @@ struct GroupFix {
 
 class DataRefiner {
  public:
-  DataRefiner(const RefineContext& ctx, MergeResult& result,
+  DataRefiner(RefineContext& ctx, MergeResult& result,
               const MergeOptions& options)
       : ctx_(ctx),
         result_(result),
@@ -171,7 +171,6 @@ class DataRefiner {
     MM_SPAN("merge/data_refine");
     {
       MM_SPAN("merge/refine_pass0");
-      build_mode_exceptions();
       step_clocks_on_data();
     }
     {
@@ -196,109 +195,137 @@ class DataRefiner {
 
  private:
   Sdc& merged() { return *result_.merged; }
+  const Sdc& merged() const { return *result_.merged; }
   const ClockMap& map() const { return result_.clock_map; }
   int num_sides() const { return analyze_hold_ ? 2 : 1; }
 
-  void build_mode_exceptions() {
-    mode_exceptions_.resize(ctx_.modes.size());
-    for (size_t m = 0; m < ctx_.modes.size(); ++m) {
-      mode_exceptions_[m] =
-          std::make_unique<CompiledExceptions>(graph_, *ctx_.modes[m]);
-    }
+  // --- step 1: launch clocks on the data network -----------------------------
+  //
+  // Clock reach is a flat bit matrix: one row of `words` uint64_t per pin,
+  // bit c set when merged clock c reaches the pin.
+
+  /// Words per pin row: wide enough for every merged clock id.
+  size_t reach_words() const {
+    const size_t clocks =
+        std::max(merged().num_clocks(), map().num_merged_clocks());
+    return std::max<size_t>(1, (clocks + 63) / 64);
   }
 
-  // --- step 1: launch clocks on the data network -----------------------------
+  static bool row_empty(const uint64_t* row, size_t words) {
+    for (size_t w = 0; w < words; ++w) {
+      if (row[w]) return false;
+    }
+    return true;
+  }
 
-  /// Launch-clock reach through one mode's data network (clock ids already
-  /// mapped to merged space).
-  std::vector<std::set<uint32_t>> data_clock_reach(const ModeGraph& mg,
-                                                   size_t mode_index,
-                                                   bool is_merged) {
-    std::vector<std::set<uint32_t>> reach(graph_.num_nodes());
-    auto mapped = [&](sdc::ClockId c) {
-      if (is_merged || !c.valid()) return c;
-      return map().merged_of(mode_index, c);
+  /// Does any fanout arc of `pin` launch (a register clock pin)? Then only
+  /// the launch arcs carry data-network reach.
+  bool has_launch_arc(PinId pin) const {
+    for (ArcId aid : graph_.fanout(pin)) {
+      if (graph_.arc(aid).kind == ArcKind::kLaunch) return true;
+    }
+    return false;
+  }
+
+  /// Launch-clock reach through one member's data network, OR-ed into
+  /// `allowed` (clock ids mapped to merged space). `reach` is scratch of the
+  /// same shape.
+  void add_member_reach(size_t m, size_t words, std::vector<uint64_t>& reach,
+                        std::vector<uint64_t>& allowed) const {
+    const ModeGraph& mg = *ctx_.mode_graphs[m];
+    std::fill(reach.begin(), reach.end(), 0);
+    auto seed = [&](PinId pin, sdc::ClockId mode_clock) {
+      if (!mode_clock.valid()) return;
+      const sdc::ClockId c = map().merged_of(m, mode_clock);
+      if (!c.valid()) return;
+      reach[pin.index() * words + c.index() / 64] |= uint64_t{1}
+                                                     << (c.index() % 64);
     };
     for (PinId sp : mg.active_startpoints()) {
       if (graph_.design().pin(sp).is_port()) {
         for (const sdc::PortDelay& pd : mg.sdc().port_delays()) {
-          if (pd.is_input && pd.port_pin == sp && pd.clock.valid()) {
-            const sdc::ClockId c = mapped(pd.clock);
-            if (c.valid()) reach[sp.index()].insert(c.value());
-          }
+          if (pd.is_input && pd.port_pin == sp) seed(sp, pd.clock);
         }
       } else {
         for (const timing::ClockArrival& ca : mg.clocks_on(sp)) {
-          const sdc::ClockId c = mapped(ca.clock);
-          if (c.valid()) reach[sp.index()].insert(c.value());
+          seed(sp, ca.clock);
         }
       }
     }
     for (PinId pin : graph_.topo_order()) {
-      if (reach[pin.index()].empty()) continue;
-      bool has_launch = false;
-      for (ArcId aid : graph_.fanout(pin)) {
-        if (graph_.arc(aid).kind == ArcKind::kLaunch) has_launch = true;
-      }
+      const uint64_t* row = &reach[pin.index() * words];
+      if (row_empty(row, words)) continue;
+      const bool has_launch = has_launch_arc(pin);
       for (ArcId aid : graph_.fanout(pin)) {
         if (!mg.arc_enabled(aid)) continue;
         const Arc& arc = graph_.arc(aid);
         if (has_launch && arc.kind != ArcKind::kLaunch) continue;
-        reach[arc.to.index()].insert(reach[pin.index()].begin(),
-                                     reach[pin.index()].end());
+        uint64_t* to = &reach[arc.to.index() * words];
+        for (size_t w = 0; w < words; ++w) to[w] |= row[w];
       }
     }
-    return reach;
+    for (size_t i = 0; i < allowed.size(); ++i) allowed[i] |= reach[i];
   }
 
   void step_clocks_on_data() {
+    const size_t words = reach_words();
+    const size_t cells = graph_.num_nodes() * words;
+
     // Union of individual reaches.
-    std::vector<std::set<uint32_t>> allowed(graph_.num_nodes());
-    for (size_t m = 0; m < ctx_.modes.size(); ++m) {
-      const auto reach = data_clock_reach(*ctx_.mode_graphs[m], m, false);
-      for (size_t p = 0; p < reach.size(); ++p) {
-        allowed[p].insert(reach[p].begin(), reach[p].end());
+    std::vector<uint64_t> allowed(cells, 0);
+    std::vector<uint64_t> reach(cells, 0);
+    {
+      MM_SPAN("merge/refine_pass0_reach");
+      for (size_t m = 0; m < ctx_.modes.size(); ++m) {
+        add_member_reach(m, words, reach, allowed);
       }
     }
 
     // Merged simulation with the inline check: disallowed clock at a pin
     // becomes `set_false_path -from <clock> -through <pin>` and stops there.
     const ModeGraph merged_view(graph_, merged());
-    std::vector<std::set<uint32_t>> reach(graph_.num_nodes());
+    std::fill(reach.begin(), reach.end(), 0);
     std::set<std::pair<uint32_t, uint32_t>> frontier;  // (pin, clock)
 
-    auto try_insert = [&](PinId pin, uint32_t clock) {
-      if (allowed[pin.index()].count(clock)) {
-        reach[pin.index()].insert(clock);
-      } else {
+    // Offer `bits` (word `w` of a clock row) to `pin`: allowed clocks join
+    // its reach, the rest land on the frontier.
+    auto offer = [&](PinId pin, size_t w, uint64_t bits) {
+      const size_t cell = pin.index() * words + w;
+      reach[cell] |= bits & allowed[cell];
+      for (uint64_t bad = bits & ~allowed[cell]; bad != 0; bad &= bad - 1) {
+        const uint32_t clock =
+            static_cast<uint32_t>(w * 64 + __builtin_ctzll(bad));
         frontier.emplace(pin.value(), clock);
       }
+    };
+    auto seed = [&](PinId pin, sdc::ClockId c) {
+      offer(pin, c.index() / 64, uint64_t{1} << (c.index() % 64));
     };
 
     for (PinId sp : merged_view.active_startpoints()) {
       if (graph_.design().pin(sp).is_port()) {
         for (const sdc::PortDelay& pd : merged().port_delays()) {
           if (pd.is_input && pd.port_pin == sp && pd.clock.valid()) {
-            try_insert(sp, pd.clock.value());
+            seed(sp, pd.clock);
           }
         }
       } else {
         for (const timing::ClockArrival& ca : merged_view.clocks_on(sp)) {
-          try_insert(sp, ca.clock.value());
+          seed(sp, ca.clock);
         }
       }
     }
     for (PinId pin : graph_.topo_order()) {
-      if (reach[pin.index()].empty()) continue;
-      bool has_launch = false;
-      for (ArcId aid : graph_.fanout(pin)) {
-        if (graph_.arc(aid).kind == ArcKind::kLaunch) has_launch = true;
-      }
+      const uint64_t* row = &reach[pin.index() * words];
+      if (row_empty(row, words)) continue;
+      const bool has_launch = has_launch_arc(pin);
       for (ArcId aid : graph_.fanout(pin)) {
         if (!merged_view.arc_enabled(aid)) continue;
         const Arc& arc = graph_.arc(aid);
         if (has_launch && arc.kind != ArcKind::kLaunch) continue;
-        for (uint32_t c : reach[pin.index()]) try_insert(arc.to, c);
+        for (size_t w = 0; w < words; ++w) {
+          if (row[w]) offer(arc.to, w, row[w]);
+        }
       }
     }
 
@@ -345,37 +372,36 @@ class DataRefiner {
     return opts;
   }
 
-  /// Run one mode's relationship propagation and fold the (clock-mapped)
-  /// relations into `accum`.
-  void accumulate_mode_relations(size_t m, const PropagationOptions& opts,
-                                 RelationMap& accum) {
-    CompiledExceptions& ce = *mode_exceptions_[m];
-    Propagator prop(*ctx_.mode_graphs[m], ce);
-    prop.run(opts);
-    for (const auto& [key, data] : prop.relations()) {
-      RelationKey mapped = key;
-      if (mapped.launch.valid()) mapped.launch = map().merged_of(m, mapped.launch);
-      if (mapped.capture.valid())
-        mapped.capture = map().merged_of(m, mapped.capture);
-      timing::RelationData& slot = accum[mapped];
-      slot.states.merge(data.states);
-      slot.hold_states.merge(data.hold_states);
+  /// The merge session's pool when one is live, else a refiner-local pool.
+  ThreadPool& pool() {
+    if (ctx_.session) return ctx_.session->pool();
+    if (!local_pool_) {
+      local_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     }
+    return *local_pool_;
   }
 
-  /// Per-mode relation maps in the merged clock space (parallel). Runs on
-  /// the merge session's pool when one is live, else a pass-local pool.
+  /// Per-mode relation maps in the merged clock space (parallel): a fresh
+  /// walk per member under `opts`.
   std::vector<RelationMap> individual_relations(const PropagationOptions& opts) {
     std::vector<RelationMap> partial(ctx_.modes.size());
-    std::unique_ptr<ThreadPool> local;
-    ThreadPool* pool = ctx_.session ? &ctx_.session->pool() : nullptr;
-    if (pool == nullptr) {
-      local = std::make_unique<ThreadPool>(
-          options_.num_threads == 0 ? 0 : options_.num_threads);
-      pool = local.get();
-    }
-    pool->parallel_for(ctx_.modes.size(), [&](size_t m) {
-      accumulate_mode_relations(m, opts, partial[m]);
+    pool().parallel_for(ctx_.modes.size(), [&](size_t m) {
+      Propagator prop(*ctx_.mode_graphs[m], *ctx_.mode_exceptions[m]);
+      prop.run(opts);
+      accumulate_mapped(prop.relations(), m, map(), partial[m]);
+    });
+    return partial;
+  }
+
+  /// Per-mode relation maps in the merged clock space from the context's
+  /// shared member walk (RefineContext::walk_members), which validation
+  /// reuses. That walk resolves hold states even without analyze_hold_;
+  /// every hold-side use here is gated on analyze_hold_.
+  std::vector<RelationMap> member_relations() {
+    const std::vector<RelationMap>& raw = ctx_.walk_members(pool());
+    std::vector<RelationMap> partial(raw.size());
+    pool().parallel_for(raw.size(), [&](size_t m) {
+      accumulate_mapped(raw[m], m, map(), partial[m]);
     });
     return partial;
   }
@@ -552,7 +578,7 @@ class DataRefiner {
 
   void pass1() {
     const PropagationOptions opts = base_options();
-    const std::vector<RelationMap> indiv = individual_relations(opts);
+    const std::vector<RelationMap> indiv = member_relations();
 
     ModeGraph merged_mg(graph_, merged());
     CompiledExceptions merged_ce(graph_, merged());
@@ -645,7 +671,10 @@ class DataRefiner {
     // that the merged mode lost entirely.
     for (const RelationMap& pm : indiv) {
       for (const auto& [key, data] : pm) {
-        if (!data.states.any_timed() && !data.hold_states.any_timed()) continue;
+        if (!data.states.any_timed() &&
+            !(analyze_hold_ && data.hold_states.any_timed())) {
+          continue;
+        }
         if (!mrel.count(key)) {
           result_.note("OPTIMISM: merged mode lost relation at endpoint " +
                        std::string(graph_.design().pin_name(key.endpoint)));
@@ -965,8 +994,9 @@ class DataRefiner {
           if (!mode_launches(mg, pair.startpoint, lm)) continue;
           if (!mode_captures(mg, pair.endpoint, cm)) continue;
           if (!path_alive_in_mode(mg, path)) continue;
-          const PathState is = path_state(*mode_exceptions_[m], *ctx_.modes[m],
-                                          path, lm, cm, setup_side);
+          const PathState is =
+              path_state(*ctx_.mode_exceptions[m], *ctx_.modes[m], path, lm,
+                         cm, setup_side);
           indiv_timed = is.is_timed();
         }
         if (!indiv_timed) verdicts[pi].bad.emplace_back(launch, capture);
@@ -1115,20 +1145,20 @@ class DataRefiner {
     }
   }
 
-  const RefineContext& ctx_;
+  RefineContext& ctx_;
   MergeResult& result_;
   const MergeOptions& options_;
   const TimingGraph& graph_;
   const bool analyze_hold_;
 
-  std::vector<std::unique_ptr<CompiledExceptions>> mode_exceptions_;
+  std::unique_ptr<ThreadPool> local_pool_;
   std::vector<PinId> pass2_endpoints_;
   std::vector<Pass3Pair> pass3_pairs_;
 };
 
 }  // namespace
 
-void refine_data_network(const RefineContext& ctx, MergeResult& result,
+void refine_data_network(RefineContext& ctx, MergeResult& result,
                          const MergeOptions& options) {
   DataRefiner(ctx, result, options).run();
 }

@@ -24,7 +24,9 @@
 
 namespace mm::merge {
 
-void refine_data_network(const RefineContext& ctx, MergeResult& result,
+/// Pass 1 fills ctx.member_relations (RefineContext::walk_members), which
+/// check_equivalence then reuses on the same context.
+void refine_data_network(RefineContext& ctx, MergeResult& result,
                          const MergeOptions& options);
 
 }  // namespace mm::merge

@@ -4,20 +4,16 @@
 
 #include "obs/obs.h"
 #include "timing/relationships.h"
-#include "timing/sta_batch.h"
 #include "util/thread_pool.h"
 
 namespace mm::merge {
 
-using timing::BatchOptions;
-using timing::BatchPropagator;
 using timing::CompiledExceptions;
 using timing::ModeGraph;
 using timing::Propagator;
 using timing::PropagationOptions;
 using timing::RelationKey;
 using timing::RelationMap;
-using timing::StaLane;
 using timing::StateSet;
 
 namespace {
@@ -26,31 +22,27 @@ const StateSet& side_states(const timing::RelationData& data, int side) {
   return side == 0 ? data.states : data.hold_states;
 }
 
-/// Merge one relation map into the individual-side union, with mode `m`'s
-/// clocks renamed into the merged clock space.
-void accumulate_mapped(const RelationMap& rel, size_t m, const ClockMap& map,
-                       RelationMap& indiv) {
-  for (const auto& [key, data] : rel) {
-    RelationKey mapped = key;
-    if (mapped.launch.valid()) mapped.launch = map.merged_of(m, mapped.launch);
-    if (mapped.capture.valid())
-      mapped.capture = map.merged_of(m, mapped.capture);
-    timing::RelationData& slot = indiv[mapped];
-    slot.states.merge(data.states);
-    slot.hold_states.merge(data.hold_states);
-  }
+/// The merged deck's relations from one serial walk, built fresh from the
+/// deck as it stands (after any refinement fixes and debug mutation).
+RelationMap walk_merged(const timing::TimingGraph& graph, const Sdc& merged,
+                        const PropagationOptions& opts) {
+  MM_SPAN("merge/equivalence_walk");
+  const ModeGraph merged_mg(graph, merged);
+  const CompiledExceptions merged_ce(graph, merged);
+  Propagator mprop(merged_mg, merged_ce);
+  mprop.run(opts);
+  return mprop.release_relations();
 }
 
-/// Serial reference: one Propagator per mode (fanned over the pool) plus
-/// one for the merged deck — N+1 independent graph walks.
-void propagate_serial(const RefineContext& ctx, const Sdc& merged,
-                      const ClockMap& map, const PropagationOptions& opts,
-                      ThreadPool& pool, RelationMap& indiv, RelationMap& mrel) {
-  const timing::TimingGraph& graph = *ctx.graph;
+/// Fresh per-member walks, fanned over the pool and folded into `indiv`
+/// with clocks renamed through `map`. Never reads ctx.member_relations, so
+/// the serial reference stays independent of refinement's walk.
+void walk_members_fresh(const RefineContext& ctx, const ClockMap& map,
+                        const PropagationOptions& opts, ThreadPool& pool,
+                        RelationMap& indiv) {
   std::vector<RelationMap> partial(ctx.modes.size());
   pool.parallel_for(ctx.modes.size(), [&](size_t m) {
-    CompiledExceptions ce(graph, *ctx.modes[m]);
-    Propagator prop(*ctx.mode_graphs[m], ce);
+    Propagator prop(*ctx.mode_graphs[m], *ctx.mode_exceptions[m]);
     prop.run(opts);
     accumulate_mapped(prop.relations(), m, map, partial[m]);
   });
@@ -58,73 +50,6 @@ void propagate_serial(const RefineContext& ctx, const Sdc& merged,
     for (auto& [key, data] : pm) {
       indiv[key].states.merge(data.states);
       indiv[key].hold_states.merge(data.hold_states);
-    }
-  }
-
-  ModeGraph merged_mg(graph, merged);
-  CompiledExceptions merged_ce(graph, merged);
-  Propagator mprop(merged_mg, merged_ce);
-  mprop.run(opts);
-  mrel = mprop.relations();
-}
-
-/// Batched path: the whole clique — N member lanes + 1 merged lane — walks
-/// the levelized graph once per kMaxBatchLanes chunk, sharing tags across
-/// lanes. Per-lane relation content is identical to propagate_serial.
-void propagate_batched(const RefineContext& ctx, const Sdc& merged,
-                       const ClockMap& map, const PropagationOptions& opts,
-                       ThreadPool& pool, RelationMap& indiv,
-                       RelationMap& mrel) {
-  const timing::TimingGraph& graph = *ctx.graph;
-  const size_t num_modes = ctx.modes.size();
-
-  // Exceptions per member mode + merged mode/exceptions, built up front
-  // (each index writes only its own slot).
-  std::vector<std::unique_ptr<CompiledExceptions>> excs(num_modes);
-  std::unique_ptr<ModeGraph> merged_mg;
-  std::unique_ptr<CompiledExceptions> merged_ce;
-  pool.parallel_for(num_modes + 1, [&](size_t m) {
-    if (m < num_modes) {
-      excs[m] = std::make_unique<CompiledExceptions>(graph, *ctx.modes[m]);
-    } else {
-      merged_mg = std::make_unique<ModeGraph>(graph, merged);
-      merged_ce = std::make_unique<CompiledExceptions>(graph, merged);
-    }
-  });
-
-  BatchOptions bopts;
-  bopts.track_startpoints = opts.track_startpoints;
-  bopts.compute_arrivals = opts.compute_arrivals;
-  bopts.analyze_hold = opts.analyze_hold;
-  bopts.pool = &pool;
-
-  // Member lanes chunked at the mask width; the merged lane rides in the
-  // first chunk (cliques virtually always fit one chunk outright).
-  size_t next_member = 0;
-  bool merged_done = false;
-  while (next_member < num_modes || !merged_done) {
-    std::vector<StaLane> lanes;
-    std::vector<size_t> lane_mode;  // member index, SIZE_MAX = merged lane
-    if (!merged_done) {
-      lanes.push_back({merged_mg.get(), merged_ce.get()});
-      lane_mode.push_back(SIZE_MAX);
-      merged_done = true;
-    }
-    while (next_member < num_modes && lanes.size() < timing::kMaxBatchLanes) {
-      lanes.push_back({ctx.mode_graphs[next_member].get(),
-                       excs[next_member].get()});
-      lane_mode.push_back(next_member);
-      ++next_member;
-    }
-
-    BatchPropagator prop(graph, std::move(lanes));
-    prop.run(bopts);
-    for (size_t l = 0; l < lane_mode.size(); ++l) {
-      if (lane_mode[l] == SIZE_MAX) {
-        mrel = prop.relations(l);
-      } else {
-        accumulate_mapped(prop.relations(l), lane_mode[l], map, indiv);
-      }
     }
   }
 }
@@ -139,10 +64,8 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   EquivalenceReport report;
   const timing::TimingGraph& graph = *ctx.graph;
 
-  PropagationOptions opts;
-  opts.compute_arrivals = false;
+  PropagationOptions opts = RefineContext::member_walk_options();
   opts.track_startpoints = startpoint_level;
-  opts.analyze_hold = true;
 
   // Reuse the merge session's pool when the context carries one.
   std::unique_ptr<ThreadPool> local;
@@ -154,15 +77,22 @@ EquivalenceReport check_equivalence(const RefineContext& ctx,
   ThreadPool& pool = *pool_ptr;
 
   // Individual side (union over modes, clocks mapped to merged space) and
-  // merged side — one batched clique walk, or N+1 serial walks as the
-  // byte-parity reference.
+  // merged side. Members never change within a merge, so when refinement
+  // pass 1 already walked them under these options (ctx.member_relations)
+  // they are reused; otherwise, and always for the serial reference, each
+  // member is walked afresh. The merged deck — the thing under test — is
+  // always walked fresh.
   RelationMap indiv;
-  RelationMap mrel;
-  if (use_batched_sta) {
-    propagate_batched(ctx, merged, map, opts, pool, indiv, mrel);
+  const bool reuse = use_batched_sta && !startpoint_level &&
+                     ctx.member_relations.size() == ctx.modes.size();
+  if (reuse) {
+    for (size_t m = 0; m < ctx.modes.size(); ++m) {
+      accumulate_mapped(ctx.member_relations[m], m, map, indiv);
+    }
   } else {
-    propagate_serial(ctx, merged, map, opts, pool, indiv, mrel);
+    walk_members_fresh(ctx, map, opts, pool, indiv);
   }
+  const RelationMap mrel = walk_merged(graph, merged, opts);
 
   // Lost-relation keys live in the *mapped individual* clock space; a
   // candidate that dropped a clock entirely has no name for them.

@@ -33,12 +33,13 @@ struct EquivalenceReport {
 /// `startpoint_level` the comparison runs per (startpoint, endpoint, ...)
 /// instead — slower, finer.
 ///
-/// `use_batched_sta` (the default) propagates the whole clique — every
-/// member mode plus the merged deck — as lanes of one batched levelized
-/// graph walk (timing/sta_batch.h). `false` runs the serial per-mode
-/// engine, kept as the byte-parity reference (same discipline as
-/// MergeOptions::use_interned_keys); report counters are identical either
-/// way, only `examples` ordering may differ.
+/// The merged deck is always walked fresh. With `use_batched_sta` (the
+/// default, the production path) the members' side reuses the relation maps
+/// refinement pass 1 left on this context (ctx.member_relations, endpoint
+/// level only); a context without them walks each member afresh on the
+/// pool. `false` always walks every member afresh, kept as the independent
+/// serial reference. Report counters are identical on both paths; only
+/// `examples` ordering may differ.
 EquivalenceReport check_equivalence(const RefineContext& ctx,
                                     const Sdc& merged, const ClockMap& map,
                                     bool startpoint_level = false,

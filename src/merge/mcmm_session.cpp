@@ -237,78 +237,84 @@ const McmmSession::CommitResult& McmmSession::commit() {
     });
   }
 
-  // Invalidate stored verdicts whose (corner, endpoint) slot is dirty. The
-  // slots become absent, not wrong: the resume scan below recomputes a slot
-  // only when it is reached, and a slot past an early exit stays absent
-  // until a later commit clears the exit.
-  for (size_t i = 0; i + 1 < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      auto [it, inserted] =
-          pairs_.try_emplace(pair_key(modes_[i].id, modes_[j].id));
-      PairState& st = it->second;
-      if (inserted) {
-        st.checked.assign(num_corners, 0);
-        st.verdicts.resize(num_corners);
-      }
-      for (CornerId c = 0; c < num_corners; ++c) {
-        if (corner_dirty(modes_[i].id, c) || corner_dirty(modes_[j].id, c)) {
-          st.checked[c] = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> all_pairs;
+  std::vector<PairVerdict> combined;
+  std::vector<uint32_t> computed;
+  std::vector<uint32_t> reused;
+  {
+    MM_SPAN("session/pair_checks");
+    // Invalidate stored verdicts whose (corner, endpoint) slot is dirty. The
+    // slots become absent, not wrong: the resume scan below recomputes a slot
+    // only when it is reached, and a slot past an early exit stays absent
+    // until a later commit clears the exit.
+    for (size_t i = 0; i + 1 < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        auto [it, inserted] =
+            pairs_.try_emplace(pair_key(modes_[i].id, modes_[j].id));
+        PairState& st = it->second;
+        if (inserted) {
+          st.checked.assign(num_corners, 0);
+          st.verdicts.resize(num_corners);
+        }
+        for (CornerId c = 0; c < num_corners; ++c) {
+          if (corner_dirty(modes_[i].id, c) || corner_dirty(modes_[j].id, c)) {
+            st.checked[c] = 0;
+          }
         }
       }
     }
-  }
 
-  // Resume every pair: scan corners in order, computing absent slots and
-  // reusing stored ones, early exit on the first conflicting corner. Pairs
-  // fan out over the pool; each pair touches only its own PairState (the
-  // map was fully populated above) and its own stat slots, so the combined
-  // verdicts — and the journal emitted serially after the loop — are
-  // bit-identical to a serial scan.
-  std::vector<std::pair<uint32_t, uint32_t>> all_pairs;
-  all_pairs.reserve(n < 2 ? 0 : n * (n - 1) / 2);
-  for (uint32_t i = 0; i + 1 < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) all_pairs.emplace_back(i, j);
-  }
-  std::vector<PairVerdict> combined(all_pairs.size());
-  std::vector<uint32_t> computed(all_pairs.size(), 0);
-  std::vector<uint32_t> reused(all_pairs.size(), 0);
-  ctx_->pool().parallel_for(
-      all_pairs.size(), /*min_grain=*/16, [&](size_t p) {
-        const auto [i, j] = all_pairs[p];
-        PairState& st = pairs_.at(pair_key(modes_[i].id, modes_[j].id));
-        PairVerdict result;
-        for (CornerId c = 0; c < num_corners; ++c) {
-          if (!st.checked[c]) {
-            st.verdicts[c] = check_corner(modes_[i], modes_[j], c);
-            st.checked[c] = 1;
-            ++computed[p];
-          } else {
-            ++reused[p];
-          }
-          if (!st.verdicts[c].mergeable) {
-            result = st.verdicts[c];
-            if (!corners_.single()) {
-              result.corner = corners_.name(c);
-              result.corner_id = c;
-              result.corners_checked = c + 1;
+    // Resume every pair: scan corners in order, computing absent slots and
+    // reusing stored ones, early exit on the first conflicting corner. Pairs
+    // fan out over the pool; each pair touches only its own PairState (the
+    // map was fully populated above) and its own stat slots, so the combined
+    // verdicts — and the journal emitted serially after the loop — are
+    // bit-identical to a serial scan.
+    all_pairs.reserve(n < 2 ? 0 : n * (n - 1) / 2);
+    for (uint32_t i = 0; i + 1 < n; ++i) {
+      for (uint32_t j = i + 1; j < n; ++j) all_pairs.emplace_back(i, j);
+    }
+    combined.resize(all_pairs.size());
+    computed.assign(all_pairs.size(), 0);
+    reused.assign(all_pairs.size(), 0);
+    ctx_->pool().parallel_for(
+        all_pairs.size(), /*min_grain=*/16, [&](size_t p) {
+          const auto [i, j] = all_pairs[p];
+          PairState& st = pairs_.at(pair_key(modes_[i].id, modes_[j].id));
+          PairVerdict result;
+          for (CornerId c = 0; c < num_corners; ++c) {
+            if (!st.checked[c]) {
+              st.verdicts[c] = check_corner(modes_[i], modes_[j], c);
+              st.checked[c] = 1;
+              ++computed[p];
+            } else {
+              ++reused[p];
             }
-            combined[p] = std::move(result);
-            return;
+            if (!st.verdicts[c].mergeable) {
+              result = st.verdicts[c];
+              if (!corners_.single()) {
+                result.corner = corners_.name(c);
+                result.corner_id = c;
+                result.corners_checked = c + 1;
+              }
+              combined[p] = std::move(result);
+              return;
+            }
           }
-        }
-        result = st.verdicts[kPrimaryCorner];
-        if (!corners_.single()) {
-          result.corners_checked = static_cast<uint32_t>(num_corners);
-        }
-        combined[p] = std::move(result);
-      });
-  for (size_t p = 0; p < all_pairs.size(); ++p) {
-    out.pair_corner_checks += computed[p];
-    out.pair_corner_reuses += reused[p];
-    if (computed[p] > 0) {
-      ++out.pairs_rechecked;
-    } else {
-      ++out.pairs_skipped_clean;
+          result = st.verdicts[kPrimaryCorner];
+          if (!corners_.single()) {
+            result.corners_checked = static_cast<uint32_t>(num_corners);
+          }
+          combined[p] = std::move(result);
+        });
+    for (size_t p = 0; p < all_pairs.size(); ++p) {
+      out.pair_corner_checks += computed[p];
+      out.pair_corner_reuses += reused[p];
+      if (computed[p] > 0) {
+        ++out.pairs_rechecked;
+      } else {
+        ++out.pairs_skipped_clean;
+      }
     }
   }
   // One pair_verdict event per pair with fresh work, serial, index order.

@@ -187,33 +187,38 @@ const MergeSession::CommitResult& MergeSession::commit() {
   // their own slot and are folded into the map in index order, keeping the
   // adjacency fill deterministic.
   std::vector<std::pair<uint32_t, uint32_t>> dirty_pairs;
-  for (uint32_t i = 0; i + 1 < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      if (dirty_.count(modes_[i].id) || dirty_.count(modes_[j].id)) {
-        dirty_pairs.emplace_back(i, j);
+  {
+    MM_SPAN("session/pair_checks");
+    for (uint32_t i = 0; i + 1 < n; ++i) {
+      for (uint32_t j = i + 1; j < n; ++j) {
+        if (dirty_.count(modes_[i].id) || dirty_.count(modes_[j].id)) {
+          dirty_pairs.emplace_back(i, j);
+        }
       }
     }
-  }
-  std::vector<PairVerdict> fresh(dirty_pairs.size());
-  ctx_->pool().parallel_for(
-      dirty_pairs.size(), /*min_grain=*/16, [&](size_t p) {
-        const auto [i, j] = dirty_pairs[p];
-        if (pair_checker_) {
-          fresh[p] = pair_checker_(*modes_[i].sdc, *modes_[j].sdc,
-                                   modes_[i].rels.get(), modes_[j].rels.get());
-          return;
-        }
-        // With the cache off this is the reference Sdc-pair path (re-derives
-        // per pair), exactly like the batch build under the same options.
-        fresh[p] = options.use_relationship_cache
-                       ? check_mergeable(*modes_[i].rels, *modes_[j].rels,
-                                         options)
-                       : check_mergeable(*modes_[i].sdc, *modes_[j].sdc,
-                                         options);
-      });
-  for (size_t p = 0; p < dirty_pairs.size(); ++p) {
-    const auto [i, j] = dirty_pairs[p];
-    verdicts_[pair_key(modes_[i].id, modes_[j].id)] = std::move(fresh[p]);
+    std::vector<PairVerdict> fresh(dirty_pairs.size());
+    ctx_->pool().parallel_for(
+        dirty_pairs.size(), /*min_grain=*/16, [&](size_t p) {
+          const auto [i, j] = dirty_pairs[p];
+          if (pair_checker_) {
+            fresh[p] =
+                pair_checker_(*modes_[i].sdc, *modes_[j].sdc,
+                              modes_[i].rels.get(), modes_[j].rels.get());
+            return;
+          }
+          // With the cache off this is the reference Sdc-pair path
+          // (re-derives per pair), exactly like the batch build under the
+          // same options.
+          fresh[p] = options.use_relationship_cache
+                         ? check_mergeable(*modes_[i].rels, *modes_[j].rels,
+                                           options)
+                         : check_mergeable(*modes_[i].sdc, *modes_[j].sdc,
+                                           options);
+        });
+    for (size_t p = 0; p < dirty_pairs.size(); ++p) {
+      const auto [i, j] = dirty_pairs[p];
+      verdicts_[pair_key(modes_[i].id, modes_[j].id)] = std::move(fresh[p]);
+    }
   }
   // One pair_verdict event per re-checked pair, emitted serially in pair
   // index order from this thread — the journal's byte-stability across

@@ -64,11 +64,11 @@ struct MergeOptions {
   /// the string-keyed reference path (--no-key-intern), kept for one release
   /// as the parity baseline; both paths produce byte-identical output.
   bool use_interned_keys = true;
-  /// Validate cliques through the batched level-parallel STA engine
-  /// (timing/sta_batch.h): all member modes + the merged deck propagate as
-  /// lanes of one levelized graph walk. Off = one serial propagation per
-  /// mode (--no-batched-sta), kept as the byte-parity reference — both
-  /// paths produce identical reports and merged output.
+  /// Validation's members side: on = reuse the member relation maps
+  /// refinement pass 1 walked, so only the merged deck is walked. Off = a
+  /// fresh serial propagation per member (--no-batched-sta), kept as the
+  /// independent parity reference — both produce identical reports and
+  /// merged output.
   bool use_batched_sta = true;
   /// Hierarchical sharded merging (docs/SHARDING.md): ShardedMergeSession
   /// partitions the design into this many blocks, runs per-block

@@ -38,9 +38,9 @@
 //     copy-on-write wherever their tags or capture clocks diverge. A clique
 //     of near-identical modes resolves once, not once per mode.
 //
-// The serial single-mode engine stays the byte-parity reference: callers
-// keep it behind MergeOptions::use_batched_sta, the same discipline as
-// use_interned_keys. See docs/STA.md for the full substrate guide.
+// The serial single-mode engine stays the byte-parity reference (see
+// run_sta_batch vs run_sta in timing/sta.h). See docs/STA.md for the full
+// substrate guide.
 
 #include <memory>
 #include <mutex>

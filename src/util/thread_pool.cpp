@@ -1,6 +1,6 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <exception>
 
 namespace mm {
@@ -59,18 +59,20 @@ void ThreadPool::parallel_for(size_t count, size_t min_grain,
   size_t chunk_size = (count + chunks - 1) / chunks;
   if (chunk_size < min_grain) chunk_size = min_grain;
 
-  std::atomic<size_t> remaining{0};
+  // Completion state lives in this frame, so no worker may touch it once
+  // the caller can see completion: the count is decremented and the
+  // condition notified under done_mutex, which the caller must re-acquire
+  // before its wait can return.
+  size_t remaining = (count + chunk_size - 1) / chunk_size;
   std::exception_ptr error;
   std::mutex error_mutex;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
-  size_t issued = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t begin = 0; begin < count; begin += chunk_size) {
       const size_t end = std::min(begin + chunk_size, count);
-      ++issued;
       tasks_.push([&, begin, end] {
         try {
           for (size_t i = begin; i < end; ++i) fn(i);
@@ -78,18 +80,15 @@ void ThreadPool::parallel_for(size_t count, size_t min_grain,
           std::lock_guard<std::mutex> elock(error_mutex);
           if (!error) error = std::current_exception();
         }
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       });
     }
-    remaining.store(issued, std::memory_order_release);
   }
   cv_.notify_all();
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 
   if (error) std::rethrow_exception(error);
 }

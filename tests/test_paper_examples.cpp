@@ -199,6 +199,65 @@ TEST_F(PaperTest, Set5DataRefinement) {
   EXPECT_EQ(out.equivalence.pessimism_keys, 0u);
 }
 
+TEST_F(PaperTest, Set5DataRefinementPastSixtyFourClocks) {
+  // Constraint Set 5 widened to 66 merged clocks, so the per-pin clock-reach
+  // rows of the data refinement span two 64-bit words. Mode A: CA0..CA32 on
+  // clk1. Mode B: CB0..CB32 on clk1 (distinct periods, so nothing dedups)
+  // plus set_case_analysis 0 rB/Q. The case is not common, so the merged
+  // mode drops it.
+  //
+  // Hand derivation: in mode B, rB/Q is constant, so no clock reaches it,
+  // and and1 = AND2(inv1/Z, rB/Q) is constant 0, so no clock reaches
+  // and1/Z either. Mode A's clocks reach both. In the merged mode every CB
+  // clock reaches rB/Q (through rB's CP->Q) and and1/Z (from rA through
+  // inv1), where no individual mode has it. Each is cut at that frontier
+  // pin, which also stops it from reaching inv2/Z and rY/D. So exactly
+  // 2 x 33 false paths, emitted in (pin id, clock id) order.
+  std::string text_a, text_b;
+  for (int k = 0; k < 33; ++k) {
+    text_a += "create_clock -name CA" + std::to_string(k) + " -period " +
+              std::to_string(2.0 + 0.01 * k) + " -add [get_ports clk1]\n";
+    text_b += "create_clock -name CB" + std::to_string(k) + " -period " +
+              std::to_string(3.0 + 0.01 * k) + " -add [get_ports clk1]\n";
+  }
+  text_b += "set_case_analysis 0 rB/Q\n";
+  const sdc::Sdc a = sdc::parse_sdc(text_a, design);
+  const sdc::Sdc b = sdc::parse_sdc(text_b, design);
+  ValidatedMergeResult out = merge_modes(graph, {&a, &b});
+  const sdc::Sdc& merged = *out.merge.merged;
+
+  ASSERT_EQ(merged.num_clocks(), 66u);
+  // The CB clocks straddle the word boundary of a reach row.
+  EXPECT_LT(merged.find_clock("CB0").index(), 64u);
+  EXPECT_GE(merged.find_clock("CB32").index(), 64u);
+
+  std::vector<std::string> pins = {"rB/Q", "and1/Z"};
+  if (design.find_pin("and1/Z").value() < design.find_pin("rB/Q").value()) {
+    std::swap(pins[0], pins[1]);
+  }
+  std::vector<std::string> expected;
+  for (const std::string& pin : pins) {
+    for (int k = 0; k < 33; ++k) {
+      expected.push_back("CB" + std::to_string(k) + " through " + pin);
+    }
+  }
+  std::vector<std::string> got;
+  for (const sdc::Exception& ex : merged.exceptions()) {
+    if (ex.comment.rfind("data refinement: clock not in data network", 0) !=
+        0) {
+      continue;
+    }
+    ASSERT_EQ(ex.from.clocks.size(), 1u);
+    ASSERT_EQ(ex.throughs.size(), 1u);
+    ASSERT_EQ(ex.throughs[0].pins.size(), 1u);
+    got.push_back(merged.clock(ex.from.clocks[0]).name + " through " +
+                  std::string(design.pin_name(ex.throughs[0].pins[0])));
+  }
+  EXPECT_EQ(got, expected) << sdc::write_sdc(merged);
+  EXPECT_EQ(out.merge.stats.data_clock_fps_added, expected.size());
+  EXPECT_TRUE(out.equivalence.signoff_safe());
+}
+
 // --- merged modes round-trip through real SDC text -----------------------------
 
 TEST_F(PaperTest, MergedModeRoundTripsThroughSdcText) {

@@ -312,8 +312,10 @@ TEST_F(StaParallelTest, DeterministicAcrossThreadCounts) {
 
 TEST_F(StaParallelTest, EquivalenceBatchedMatchesSerialReference) {
   // The merge-level integration: check_equivalence over the 10-mode paper
-  // family must report identical counters batched vs serial, across thread
-  // counts.
+  // family must report identical counters on the production path (here a
+  // fresh context, so members are walked afresh) and the serial reference,
+  // across thread counts. The reuse of refinement's member walks is
+  // covered in test_equivalence (*ReusedMemberWalksMatchFreshAndSerial*).
   netlist::Design design = gen::paper_circuit(lib);
   TimingGraph graph(design);
   const std::vector<sdc::Sdc> modes = paper_modes(design);

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "util/bitset.h"
 #include "util/glob.h"
@@ -202,6 +204,49 @@ TEST(ThreadPool, GrainAtLeastCountRunsInline) {
   pool.parallel_for(7, /*min_grain=*/16,
                     [&](size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+/// Overwrite the stack just below the caller's frame, where the previous
+/// parallel_for call kept its completion state.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[2048];
+  for (size_t i = 0; i < sizeof(junk); ++i) {
+    junk[i] = static_cast<unsigned char>(0xA5 ^ i);
+  }
+}
+
+TEST(ThreadPool, BackToBackCallsFromSeveralCallers) {
+  // Many short parallel_for calls in a row, each followed by a write over
+  // the stack where that call's completion state lived. A worker that
+  // still touches that state after the caller has seen completion locks or
+  // notifies garbage. 3 callers x 7000 calls on 2 workers.
+  ThreadPool pool(2);
+  constexpr size_t kCallers = 3;
+  constexpr size_t kCalls = 7000;
+  std::atomic<size_t> total{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t call = 0; call < kCalls; ++call) {
+        const size_t count = 2 + (call + c) % 7;
+        std::atomic<size_t> hits{0};
+        pool.parallel_for(count, [&](size_t) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+        });
+        ASSERT_EQ(hits.load(), count);
+        scribble_stack();
+        total.fetch_add(count, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  size_t expected = 0;
+  for (size_t c = 0; c < kCallers; ++c) {
+    for (size_t call = 0; call < kCalls; ++call) {
+      expected += 2 + (call + c) % 7;
+    }
+  }
+  EXPECT_EQ(total.load(), expected);
 }
 
 }  // namespace

@@ -45,8 +45,9 @@ void usage(std::FILE* to) {
       "  --max-violations N   stop after N minimized findings (default 1)\n"
       "  --corpus-dir DIR     write minimized repros under DIR\n"
       "  --no-mutate          skip the SDC text-mutation stage\n"
-      "  --no-batched-sta     validate with the serial per-mode STA\n"
-      "                       reference instead of the batched engine\n"
+      "  --no-batched-sta     validate with the serial reference that\n"
+      "                       re-walks every member instead of reusing\n"
+      "                       refinement's member walks\n"
       "  --no-minimize        report raw cases without delta-debugging\n"
       "\n"
       "properties (all on by default):\n"
